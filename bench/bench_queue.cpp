@@ -6,10 +6,11 @@
 //
 // Part 1 (A/B): raw scheduler throughput across three impls — the
 // SingleMutexTaskQueues seed baseline, the retired ShardedTaskQueues
-// (PR 2), and the WorkStealingTaskQueues the alias points at — on two
-// workload shapes. Every operation is a push+pop pair with no body
-// work, so the scheduler IS the workload — the worst case the paper's
-// condition warns about.
+// (the first rework), and the WorkStealingTaskQueues the alias points
+// at — on three workload shapes. In the first two every operation is a
+// push+pop pair with no body work, so the scheduler IS the workload —
+// the worst case the paper's condition warns about; the third adds the
+// tail a real CRI body runs after its push.
 //
 //  * handoff: `threads` live chains, each pop re-enqueues at the NEXT
 //    site — uniform cross-site pressure with every server saturated.
@@ -26,6 +27,12 @@
 //    through a futex, while owner-lane affinity plus the wake
 //    throttle (no wake when the producer is the next consumer) keeps
 //    a chain hot on one server.
+//  * spawn_chain_tail: spawn_chain whose task body, after its push,
+//    runs a fixed tail of eval ticks (a few µs) — the shape a CRI task
+//    actually runs: enqueue the next invocation, then a long tail. A
+//    chain is only as fast as its tail unless a thief takes the
+//    successor while the owner is still in it; the ticks are what let
+//    the work-stealing owner offer its parked successor (DESIGN.md §8).
 //
 // Results go to BENCH_scheduler.json (one JSON object per line) with a
 // "workload" field; tools/bench_check.py gates the ws-vs-mutex ratio.
@@ -42,6 +49,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "runtime/eval_tick.hpp"
 #include "runtime/sim.hpp"
 #include "runtime/task_queue.hpp"
 
@@ -52,7 +60,31 @@ namespace {
 
 // ---- Part 1: A/B scheduler microbenchmark ---------------------------------
 
-enum class Shape { kHandoff, kSpawnChain };
+enum class Shape { kHandoff, kSpawnChain, kSpawnChainTail };
+
+const char* shape_name(Shape shape) {
+  switch (shape) {
+    case Shape::kHandoff: return "handoff";
+    case Shape::kSpawnChain: return "spawn_chain";
+    case Shape::kSpawnChainTail: return "spawn_chain_tail";
+  }
+  return "?";
+}
+
+/// spawn_chain_tail's task tail: eval ticks, each with a little mixing
+/// work, as an evaluator running the body's tail would advance them.
+constexpr unsigned kTailTicks = 1024;
+
+void run_tail() {
+  std::uint64_t x = 0x9E3779B97F4A7C15ull;
+  for (unsigned i = 0; i < kTailTicks; ++i) {
+    runtime::eval_tick_step();
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+  }
+  g_spin_sink.fetch_add(x & 1, std::memory_order_relaxed);
+}
 
 /// The work-stealing queue wants to know how many threads will touch
 /// it (one lane each; +1 covers the main thread seeding the handoff
@@ -66,10 +98,11 @@ std::unique_ptr<Q> make_queue(std::size_t sites, std::size_t threads) {
   }
 }
 
-/// Live chains per shape: handoff saturates every server; spawn_chain
-/// runs the paper's saturation regime — more servers than spawnable
-/// work (§4.1: a recursion spawns one successor per invocation, so
-/// chain parallelism is set by the program, not the server count).
+/// Live chains per shape: handoff saturates every server; the spawn
+/// chains run the paper's saturation regime — more servers than
+/// spawnable work (§4.1: a recursion spawns one successor per
+/// invocation, so chain parallelism is set by the program, not the
+/// server count).
 std::size_t chains_for(Shape shape, std::size_t threads) {
   return shape == Shape::kHandoff ? threads
                                   : std::max<std::size_t>(1, threads / 2);
@@ -80,8 +113,8 @@ std::size_t chains_for(Shape shape, std::size_t threads) {
 /// remain, so exactly `total_ops` tasks flow through the queue and the
 /// last `chains` pops let their chains die (the final one closes the
 /// queues). handoff seeds all chains at site 0 from the main thread
-/// and hops sites; spawn_chain seeds chain t from worker t and stays
-/// on its site. Returns wall-clock seconds.
+/// and hops sites; the spawn chains seed chain t from worker t and
+/// stay on its site. Returns wall-clock seconds.
 template <typename Q>
 double run_shape(Shape shape, std::size_t threads, std::size_t sites,
                  std::size_t total_ops, std::size_t batch) {
@@ -104,6 +137,7 @@ double run_shape(Shape shape, std::size_t threads, std::size_t sites,
     } else if (left == 0) {
       q.close();
     }
+    if (shape == Shape::kSpawnChainTail) run_tail();
   };
 
   std::vector<std::thread> ws;
@@ -111,7 +145,7 @@ double run_shape(Shape shape, std::size_t threads, std::size_t sites,
   const double secs = time_s([&] {
     for (std::size_t t = 0; t < threads; ++t) {
       ws.emplace_back([&, t] {
-        if (shape == Shape::kSpawnChain && t < chains) {
+        if (shape != Shape::kHandoff && t < chains) {
           q.push(t % sites,
                  runtime::TaskArgs{sexpr::Value::fixnum(
                      static_cast<std::int64_t>(t))});
@@ -155,7 +189,7 @@ AbRow measure(const char* impl, Shape shape, std::size_t threads,
     best = std::min(best,
                     run_shape<Q>(shape, threads, sites, total_ops, batch));
   return AbRow{impl,
-               shape == Shape::kHandoff ? "handoff" : "spawn_chain",
+               shape_name(shape),
                threads,
                chains_for(shape, threads),
                sites,
@@ -191,33 +225,46 @@ double measure_rmw_pair_ns(std::size_t iters) {
   return secs / static_cast<double>(iters) * 1e9;
 }
 
+/// Wall time of one spawn_chain_tail tail, for the printed header.
+double measure_tail_us() {
+  const int n = 200;
+  return time_s([&] {
+           for (int i = 0; i < n; ++i) run_tail();
+         }) /
+         n * 1e6;
+}
+
 void run_ab(std::FILE* js) {
   const bool smoke = smoke_mode();
-  const std::size_t total_ops = smoke ? 4'000 : 400'000;
+  const std::size_t empty_ops = smoke ? 4'000 : 400'000;
+  const std::size_t tail_ops = smoke ? 400 : 20'000;
   const int reps = smoke ? 1 : 5;
   const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
 
-  std::printf("A/B: scheduler throughput (no body work), %u core(s)\n",
-              cores);
-  std::printf("ops=%zu per cell, best of %d; Mops = million push+pop "
-              "pairs/sec\n",
-              total_ops, reps);
+  std::printf("A/B: scheduler throughput, %u core(s)\n", cores);
+  std::printf("ops=%zu per cell (spawn_chain_tail: %zu, tail %.2f us), "
+              "best of %d;\nMops = million push+pop pairs/sec\n",
+              empty_ops, tail_ops, measure_tail_us(), reps);
 
   double mutex_pair_ns = 0;  // threads=1, sites=1, handoff cell
   double shard_pair_ns = 0;
   double ws_pair_ns = 0;
   double ws8_spawn = 0;  // acceptance cell: ws vs mutex, 8 thr, spawn
   double mutex8_spawn = 0;
-  for (Shape shape : {Shape::kHandoff, Shape::kSpawnChain}) {
-    const char* wname =
-        shape == Shape::kHandoff ? "handoff" : "spawn_chain";
-    std::printf("\nworkload: %s\n", wname);
+  for (Shape shape :
+       {Shape::kHandoff, Shape::kSpawnChain, Shape::kSpawnChainTail}) {
+    const std::size_t total_ops =
+        shape == Shape::kSpawnChainTail ? tail_ops : empty_ops;
+    std::printf("\nworkload: %s\n", shape_name(shape));
     std::printf("%7s %6s | %11s %11s %11s %8s | %11s\n", "threads",
                 "sites", "mutex Mops", "shard Mops", "ws Mops",
                 "ws/mutex", "ws b=8");
     for (std::size_t sites : {std::size_t{1}, std::size_t{4}}) {
       for (std::size_t threads : {std::size_t{1}, std::size_t{2},
                                   std::size_t{4}, std::size_t{8}}) {
+        // One thread has no thief: a tail-bound chain then measures
+        // only its tail, whatever the scheduler.
+        if (shape == Shape::kSpawnChainTail && threads == 1) continue;
         AbRow a = measure<runtime::SingleMutexTaskQueues>(
             "mutex", shape, threads, sites, total_ops, 1, reps);
         AbRow b = measure<runtime::ShardedTaskQueues>(

@@ -5,8 +5,17 @@
 // is shared by every server thread in the CRI runtime, so its map is
 // guarded by a shared_mutex: transformed programs read globals constantly
 // (function lookups) and write them rarely (defun, top-level setq).
+//
+// Each binding's value is an atomic word (Binding), and a map node never
+// moves or dies while its frame lives, so a caller may resolve a global
+// binding once under the lock (global_binding) and afterwards read and
+// write it through the pointer without taking the lock at all — the
+// bytecode VM does so per instruction site, keeping the frame lock's
+// cache line out of every server's per-call path.
 #pragma once
 
+#include <atomic>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -22,6 +31,19 @@ using sexpr::Value;
 
 class Env;
 using EnvPtr = std::shared_ptr<Env>;
+
+/// One binding's value.
+class Binding {
+ public:
+  explicit Binding(Value v) : bits_(v.bits()) {}
+  Value get() const {
+    return Value::from_bits(bits_.load(std::memory_order_acquire));
+  }
+  void set(Value v) { bits_.store(v.bits(), std::memory_order_release); }
+
+ private:
+  std::atomic<std::uint64_t> bits_;
+};
 
 class Env {
  public:
@@ -39,22 +61,32 @@ class Env {
       if (e->global_) {
         std::shared_lock lock(e->mu_);
         auto it = e->vars_.find(name);
-        if (it != e->vars_.end()) return it->second;
+        if (it != e->vars_.end()) return it->second.get();
       } else {
         auto it = e->vars_.find(name);
-        if (it != e->vars_.end()) return it->second;
+        if (it != e->vars_.end()) return it->second.get();
       }
     }
     return std::nullopt;
+  }
+
+  /// The global frame's binding of `name`, or nullptr when it has none
+  /// (call on the global frame). The pointer stays valid, and the
+  /// binding stays the one `name` resolves to there, for the frame's
+  /// whole life: bindings are never removed.
+  Binding* global_binding(Symbol* name) {
+    std::shared_lock lock(mu_);
+    auto it = vars_.find(name);
+    return it == vars_.end() ? nullptr : &it->second;
   }
 
   /// Bind `name` in THIS frame (let/lambda binding or defun).
   void define(Symbol* name, Value v) {
     if (global_) {
       std::unique_lock lock(mu_);
-      vars_[name] = v;
+      bind(name, v);
     } else {
-      vars_[name] = v;
+      bind(name, v);
     }
   }
 
@@ -66,13 +98,13 @@ class Env {
         std::unique_lock lock(e->mu_);
         auto it = e->vars_.find(name);
         if (it != e->vars_.end() || e->parent_ == nullptr) {
-          e->vars_[name] = v;
+          e->bind(name, v);
           return;
         }
       } else {
         auto it = e->vars_.find(name);
         if (it != e->vars_.end()) {
-          it->second = v;
+          it->second.set(v);
           return;
         }
       }
@@ -89,9 +121,9 @@ class Env {
   void for_each_binding(Fn&& fn) const {
     if (global_) {
       std::shared_lock lock(mu_);
-      for (const auto& [name, v] : vars_) fn(v);
+      for (const auto& [name, b] : vars_) fn(b.get());
     } else {
-      for (const auto& [name, v] : vars_) fn(v);
+      for (const auto& [name, b] : vars_) fn(b.get());
     }
   }
 
@@ -102,9 +134,9 @@ class Env {
   void for_each_binding_named(Fn&& fn) const {
     if (global_) {
       std::shared_lock lock(mu_);
-      for (const auto& [name, v] : vars_) fn(name, v);
+      for (const auto& [name, b] : vars_) fn(name, b.get());
     } else {
-      for (const auto& [name, v] : vars_) fn(name, v);
+      for (const auto& [name, b] : vars_) fn(name, b.get());
     }
   }
 
@@ -120,10 +152,16 @@ class Env {
   Env(EnvPtr parent, bool global)
       : parent_(std::move(parent)), global_(global) {}
 
+  /// Bind or rebind in this frame (the caller holds the lock if global).
+  void bind(Symbol* name, Value v) {
+    auto [it, fresh] = vars_.try_emplace(name, v);
+    if (!fresh) it->second.set(v);
+  }
+
   EnvPtr parent_;
   const bool global_;
   mutable std::shared_mutex mu_;  // used only when global_
-  std::unordered_map<Symbol*, Value> vars_;
+  std::unordered_map<Symbol*, Binding> vars_;
 };
 
 }  // namespace curare::lisp

@@ -1,6 +1,9 @@
 #include "lisp/interp.hpp"
 
+#include <pthread.h>
+
 #include <cassert>
+#include <cstdint>
 #include <iostream>
 
 #include "obs/profiler.hpp"
@@ -29,14 +32,53 @@ thread_local std::size_t Interp::depth_ = 0;
 
 namespace {
 
-/// RAII depth guard for non-tail recursion into eval.
+/// Lowest address this thread's eval activations may reach: the low
+/// end of its C++ stack plus headroom for the frames that run between
+/// two activations (a VM execution, Interp::apply, a builtin). Null
+/// when the stack bounds are unknown (the check then never fires).
+[[gnu::noinline, gnu::cold]] const char* compute_stack_floor() {
+  void* addr = nullptr;
+  std::size_t size = 0;
+#if defined(__GLIBC__)
+  pthread_attr_t attr;
+  if (pthread_getattr_np(pthread_self(), &attr) == 0) {
+    pthread_attr_getstack(&attr, &addr, &size);
+    pthread_attr_destroy(&attr);
+  }
+#endif
+  constexpr std::size_t kHeadroom = 64 * 1024;
+  if (addr == nullptr || size < 2 * kHeadroom) return nullptr;
+  return static_cast<const char*>(addr) + kHeadroom;
+}
+
+/// Sentinel for "not computed yet": a constant initializer keeps the
+/// per-eval read free of a thread_local init guard.
+const char* const kFloorUnset =
+    reinterpret_cast<const char*>(~std::uintptr_t{0});
+thread_local const char* t_stack_floor = kFloorUnset;
+
+/// Out of line, so the message building stays out of every eval frame.
+[[noreturn, gnu::noinline, gnu::cold]] void throw_too_deep(
+    std::size_t depth, std::size_t max) {
+  if (depth > max)
+    throw LispError("evaluation too deep (recursion limit " +
+                    std::to_string(max) + " exceeded)");
+  throw LispError("evaluation too deep (C++ stack exhausted at depth " +
+                  std::to_string(depth) + ")");
+}
+
+/// RAII depth guard for non-tail recursion into eval. Besides the
+/// configured activation count it refuses to go on when the C++ stack
+/// is nearly used up: recursion that alternates between the engines
+/// spends stack on VM executions the count does not see.
 struct DepthGuard {
   std::size_t& d;
   explicit DepthGuard(std::size_t& depth, std::size_t max) : d(depth) {
-    if (++d > max) {
-      --d;
-      throw LispError("evaluation too deep (recursion limit " +
-                      std::to_string(max) + " exceeded)");
+    if (t_stack_floor == kFloorUnset) t_stack_floor = compute_stack_floor();
+    const auto* sp = static_cast<const char*>(__builtin_frame_address(0));
+    if (++d > max || sp < t_stack_floor) {
+      const std::size_t at = d--;
+      throw_too_deep(at, max);
     }
   }
   ~DepthGuard() { --d; }
@@ -340,7 +382,6 @@ Value Interp::apply(Value fn, std::span<const Value> args) {
   EvalFrame gc_frame(gc_, nullptr, nullptr);
   gc_frame.set_call(&fn, nullptr);
   gc_frame.set_span(&args);
-  apply_count_.fetch_add(1, std::memory_order_relaxed);
   if (fn.is(Kind::Builtin)) {
     auto* b = static_cast<Builtin*>(fn.obj());
     if (static_cast<int>(args.size()) < b->min_args ||
@@ -353,12 +394,22 @@ Value Interp::apply(Value fn, std::span<const Value> args) {
   }
   if (fn.is(Kind::Closure)) {
     // VM engine first: compiled closures run on the bytecode stack
-    // (which pushes its own profile frames); the hook declines for
-    // closures the compiler refused, and the tree path below remains
-    // the single fallback.
+    // (which pushes its own profile frames). The hook declines
+    // closures the compiler refused, or hands back a tail call to one;
+    // the tree path below is the single fallback for both.
+    TailCall tail;
     if (compiled_apply_) {
       Value out;
-      if (compiled_apply_(*this, fn, args, &out)) return out;
+      switch (compiled_apply_(*this, fn, args, &out, tail)) {
+        case Handoff::kDone:
+          return out;
+        case Handoff::kTailCall:
+          fn = tail.fn;
+          args = tail.args;  // the frame roots `args` through set_span
+          break;
+        case Handoff::kDeclined:
+          break;
+      }
     }
     auto* c = static_cast<Closure*>(fn.obj());
     obs::ProfileFrameScope pf(obs::Profiler::FrameKind::kFn, &c->name);
@@ -657,8 +708,15 @@ Value Interp::eval(Value form, EnvPtr env) {
       args.push_back(eval(car(a), env));
 
     if (fn.is(Kind::Closure)) {
+      // Compilable callees run on the VM, even from tree-walked code.
+      // The VM hands a tail call to a closure it refuses back to this
+      // loop, which makes it below like any tree call: mutual tail
+      // recursion across the engines stays in O(1) C++ stack.
+      if (compiled_apply_) {
+        Value out;
+        if (hand_off(fn, args, &out)) return out;
+      }
       // Tail call: rebind and continue the loop instead of recursing.
-      apply_count_.fetch_add(1, std::memory_order_relaxed);
       auto* c = static_cast<Closure*>(fn.obj());
       if (obs::Profiler::armed()) {
         auto& prof = obs::Profiler::instance();
@@ -682,6 +740,21 @@ Value Interp::eval(Value form, EnvPtr env) {
     }
     return apply(fn, args);
   }
+}
+
+bool Interp::hand_off(Value& fn, std::vector<Value>& args, Value* out) {
+  TailCall tail;
+  switch (compiled_apply_(*this, fn, args, out, tail)) {
+    case Handoff::kDone:
+      return true;
+    case Handoff::kTailCall:
+      fn = tail.fn;
+      args.swap(tail.args);
+      return false;
+    case Handoff::kDeclined:
+      return false;
+  }
+  return false;
 }
 
 Value Interp::eval_setf(Value form, const EnvPtr& env) {

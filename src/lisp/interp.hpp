@@ -109,29 +109,31 @@ class Interp : public gc::RootSource {
   std::size_t max_depth() const { return max_depth_; }
 
   // ---- compiled-apply hook (installed by the VM engine) ---------------
-  /// Tried first for every closure application routed through apply():
-  /// return true with *out filled to take the call (compiled
-  /// execution), false to fall through to the tree-walking path
-  /// (uncompilable closure). Install before any concurrent evaluation
+  /// A closure call one engine hands back to its caller instead of
+  /// making it (the cross-engine trampoline, DESIGN.md §13).
+  struct TailCall {
+    Value fn;
+    std::vector<Value> args;
+  };
+  /// What the compiled-apply hook did with a closure application.
+  enum class Handoff {
+    kDeclined,  ///< the compiler refused the closure: tree-walk it
+    kDone,      ///< ran compiled; *out holds the result
+    kTailCall,  ///< ran compiled up to a tail call to a refused
+                ///< closure, left in the TailCall for the caller
+  };
+  /// Tried first for every closure application — apply()'s and the
+  /// tree-walker's own calls — so compiled callees of tree-walked code
+  /// run on the VM. Handing refused tail callees back (kTailCall)
+  /// keeps mutual tail recursion between the engines in O(1) C++
+  /// stack: the tree-walker's loop makes the call instead of the VM
+  /// recursing into it. Install before any concurrent evaluation
   /// starts — the hook itself is not synchronized.
   using CompiledApplyHook =
-      std::function<bool(Interp&, Value fn, std::span<const Value> args,
-                         Value* out)>;
+      std::function<Handoff(Interp&, Value fn, std::span<const Value> args,
+                            Value* out, TailCall& tail)>;
   void set_compiled_apply_hook(CompiledApplyHook hook) {
     compiled_apply_ = std::move(hook);
-  }
-
-  /// Count one application performed outside apply() (the VM's call
-  /// opcodes), keeping apply_count a comparable work measure across
-  /// engines.
-  void count_apply() {
-    apply_count_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  /// Number of closure applications performed (rough work measure used
-  /// by tests and benches).
-  std::uint64_t apply_count() const {
-    return apply_count_.load(std::memory_order_relaxed);
   }
 
   // ---- defstruct types -------------------------------------------------
@@ -151,6 +153,13 @@ class Interp : public gc::RootSource {
   Value eval_body_tail(Value body, EnvPtr& env, Value& form_out,
                        bool& continue_loop);
   EnvPtr bind_params(const Closure* c, std::span<const Value> args);
+  /// The eval loop's call of closure `fn` through the compiled-apply
+  /// hook: true when the VM ran it (*out holds the result); false when
+  /// the tree-walker must make the call — `fn`/`args` are then the
+  /// original call or the tail call the VM handed back. Kept out of
+  /// line so the hand-off's locals do not grow every eval activation.
+  [[gnu::noinline]] bool hand_off(Value& fn, std::vector<Value>& args,
+                                  Value* out);
   Value eval_setf(Value form, const EnvPtr& env);
   Value setf_place(Value place, Value newval, const EnvPtr& env);
   Value make_closure(Value lambda_form, const EnvPtr& env,
@@ -189,7 +198,6 @@ class Interp : public gc::RootSource {
 
   std::size_t max_depth_ = 20000;
   static thread_local std::size_t depth_;
-  std::atomic<std::uint64_t> apply_count_{0};
 };
 
 /// Registers the standard builtin library (car/cdr/cons, arithmetic,

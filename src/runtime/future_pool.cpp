@@ -87,10 +87,14 @@ std::shared_ptr<FutureState> FuturePool::spawn(std::function<Value()> fn,
         Task{std::move(fn), state, id, root, obs::current_request()});
     states_.push_back(state);
     // Lazy compaction keeps the registry proportional to live futures.
-    if (states_.size() >= 1024) {
+    // The next pass waits until the registry has doubled past the
+    // survivors, so n live futures cost O(log n) passes, O(1) per spawn.
+    if (states_.size() >= compact_at_) {
       std::erase_if(states_, [](const std::weak_ptr<FutureState>& w) {
         return w.expired();
       });
+      ++compactions_;
+      compact_at_ = std::max(kMinCompactAt, 2 * states_.size());
     }
   }
   if (rec_) {

@@ -107,6 +107,12 @@ class FuturePool : public gc::RootSource {
   std::uint64_t spawned() const {
     return spawned_.load(std::memory_order_relaxed);
   }
+  /// Registry compaction passes run so far (spawn drops expired
+  /// futures' entries in whole passes).
+  std::uint64_t compactions() const {
+    std::lock_guard<std::mutex> g(mu_);
+    return compactions_;
+  }
 
  private:
   struct Task {
@@ -138,6 +144,11 @@ class FuturePool : public gc::RootSource {
   /// Every future ever spawned (weak); compacted lazily. Roots the
   /// resolved values of futures the program still holds.
   std::vector<std::weak_ptr<FutureState>> states_;
+  /// Registry size that triggers the next compaction pass: twice the
+  /// survivors of the last pass, at least kMinCompactAt.
+  static constexpr std::size_t kMinCompactAt = 1024;
+  std::size_t compact_at_ = kMinCompactAt;
+  std::uint64_t compactions_ = 0;
   bool shutdown_ = false;
   /// Set by abort_waiters(): touches of unresolved futures now throw.
   std::atomic<bool> aborted_{false};

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "obs/request.hpp"
+#include "runtime/eval_tick.hpp"
 #include "runtime/fault_injector.hpp"
 #include "runtime/resilience.hpp"
 #include "sexpr/value.hpp"
@@ -108,6 +109,7 @@ void LockManager::lock(const LocKey& key, bool exclusive) {
       }
     }
     if (acquired) {
+      ++detail::g_body_locks;
       if (waited) {
         // Per-request attribution: the blocked span counts against the
         // serving request this thread is working for (if any),
@@ -190,6 +192,7 @@ void LockManager::unlock(const LocKey& key, bool exclusive) {
     // unlock by the writer also lands here, matching the reentrant
     // acquisition path above.
     (void)exclusive;
+    --detail::g_body_locks;
     if (--e.writer_depth == 0) {
       e.writer = std::thread::id{};
       if (e.readers == 0) s.entries.erase(it);
@@ -222,6 +225,7 @@ void LockManager::unlock(const LocKey& key, bool exclusive) {
       auto hit = e.reader_holds.begin();
       if (--hit->second == 0) e.reader_holds.erase(hit);
     }
+    --detail::g_body_locks;
     if (--e.readers == 0 && e.writer_depth == 0) {
       s.entries.erase(it);
       s.cv.notify_all();

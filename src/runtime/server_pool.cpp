@@ -210,6 +210,7 @@ void CriRun::serve(std::size_t server_index) {
         const std::uint64_t inv =
             invocations_.fetch_add(1, std::memory_order_relaxed);
         g_last_enqueue_ns = 0;
+        detail::g_body_locks = 0;
         bool failed = false;
         try {
           FaultInjector::instance().check(
@@ -407,6 +408,7 @@ CriStats CriRun::run(TaskArgs initial_args) {
     m.counter("cri.queue.sleeps").add(stats.queue.sleeps);
     m.counter("cri.queue.pop_calls").add(stats.queue.pop_calls);
     m.counter("cri.queue.steals").add(stats.queue.steals);
+    m.counter("cri.queue.offers").add(stats.queue.offers);
 
     obs::MeasuredRun mr;
     mr.label = label_;

@@ -67,6 +67,7 @@
 #include <vector>
 
 #include "gc/gc.hpp"
+#include "runtime/eval_tick.hpp"
 #include "runtime/fault_injector.hpp"
 #include "runtime/mpmc_ring.hpp"
 #include "sexpr/value.hpp"
@@ -86,6 +87,9 @@ struct QueueStats {
   std::uint64_t spill_pushes = 0;  ///< pushes that overflowed a ring
   std::uint64_t sleeps = 0;        ///< times a server actually blocked
   std::uint64_t steals = 0;  ///< tasks taken from another server's lane
+  /// Parked depth-1 tasks a busy owner offered to thieves
+  /// (work-stealing impl only).
+  std::uint64_t offers = 0;
 };
 
 // ---------------------------------------------------------------------------
@@ -582,14 +586,18 @@ class ShardedTaskQueues {
 //    waiting. Either the pusher sees the registration and notifies
 //    (at most one) under the mutex, or the sleeper's sweep sees the
 //    published payload and skips the wait.
-//  * Wake throttle: an owner that also consumes its lane skips the
-//    fence/notify entirely when its lane depth after the push is 1 —
-//    the producer is the next consumer, so there is nothing for a
-//    thief to do (the classic work-stealing wake rule). Surplus
-//    pushes (lane depth > 1), producer-only owners (a seeding caller
-//    or dispatcher that never pops), and foreign spills always go
-//    through the handshake. The bounded 100 ms sleep slice is the
-//    liveness backstop if a consuming owner stalls mid-chain.
+//  * Wake throttle and offers: an owner that also consumes its lane
+//    skips the fence/notify when its lane depth after the push is 1 —
+//    the producer is usually the next consumer (the classic
+//    work-stealing wake rule), so the task is *parked*, not offered.
+//    If the owner is still busy in its task body a full eval poll
+//    period (64 steps) after the push — a CRI task running its tail —
+//    the eval tick offers the parked task: it becomes stealable and
+//    the offer runs the handshake. Surplus pushes (lane depth > 1),
+//    producer-only owners (a seeding caller or dispatcher that never
+//    pops), and foreign spills always go through the handshake at the
+//    push. The bounded 100 ms sleep slice is the liveness backstop if
+//    a consuming owner stalls mid-chain without ticking (blocked).
 //  * Lane claims: one CAS per thread per generation, never on the hot
 //    path (a thread-local cache keyed by queue id + reopen generation
 //    remembers the registration).
@@ -612,6 +620,8 @@ class WorkStealingTaskQueues {
     for (std::size_t i = 0; i < nlanes; ++i)
       lanes_.push_back(std::make_unique<Lane>(nsites_, ring_capacity));
   }
+
+  ~WorkStealingTaskQueues() { unpark(); }
 
   WorkStealingTaskQueues(const WorkStealingTaskQueues&) = delete;
   WorkStealingTaskQueues& operator=(const WorkStealingTaskQueues&) = delete;
@@ -680,20 +690,21 @@ class WorkStealingTaskQueues {
       lane.max_depth.store(total, std::memory_order_relaxed);
 
     // Wake throttle: when the pusher is a consuming owner and this
-    // task is its lane's only backlog, the producer is the next
-    // consumer — skip the handshake entirely (no fence, no sleeper
-    // check). Any surplus task, and any push by a producer that never
-    // pops, must offer itself to a thief: publish-then-fence, then
-    // read the sleeper count (Dekker with the sleeper's registration
-    // RMW + re-sweep), waking at most one.
-    if (!consuming_owner || d > 1) {
-      std::atomic_thread_fence(std::memory_order_seq_cst);
-      if (sleepers_.load(std::memory_order_relaxed) > 0) {
-        notify_sent_.fetch_add(1, std::memory_order_relaxed);
-        std::lock_guard<std::mutex> g(wait_mu_);
-        wait_cv_.notify_one();
-      }
+    // task is its lane's only backlog, the producer is usually the
+    // next consumer — skip the handshake (no fence, no sleeper check).
+    // Any surplus task, and any push by a producer that never pops, is
+    // stealable at once and must offer itself to a thief. A consuming
+    // owner's push also parks the lane's backlog: the eval tick offers
+    // whatever of it is left if the owner stays busy (offer_parked).
+    if (consuming_owner) {
+      ParkedTask& p = detail::g_parked;
+      p.offer = &offer_parked;
+      p.queue = this;
+      p.lane = me.lane;
+      p.stamp = lane.pushed_own.load(std::memory_order_relaxed);
+      p.tick = detail::g_eval_tick;
     }
+    if (!consuming_owner || d > 1) wake_one();
     return total;
   }
 
@@ -729,6 +740,7 @@ class WorkStealingTaskQueues {
     for (auto& lp : lanes_) {
       lp->claimed.store(false, std::memory_order_relaxed);
       lp->owner_consumes.store(false, std::memory_order_relaxed);
+      lp->offered.store(kNoOffer, std::memory_order_relaxed);
       lp->pushed_own.store(0, std::memory_order_relaxed);
       lp->pushed_foreign.store(0, std::memory_order_relaxed);
       lp->popped_own.store(0, std::memory_order_relaxed);
@@ -748,6 +760,7 @@ class WorkStealingTaskQueues {
     spill_pushes_.store(0, std::memory_order_relaxed);
     sleeps_.store(0, std::memory_order_relaxed);
     steals_.store(0, std::memory_order_relaxed);
+    offers_.store(0, std::memory_order_relaxed);
     next_lane_.store(0, std::memory_order_relaxed);
     // Invalidate every thread's cached registration.
     gen_.fetch_add(1, std::memory_order_release);
@@ -798,6 +811,7 @@ class WorkStealingTaskQueues {
     st.spill_pushes = spill_pushes_.load(std::memory_order_relaxed);
     st.sleeps = sleeps_.load(std::memory_order_relaxed);
     st.steals = steals_.load(std::memory_order_relaxed);
+    st.offers = offers_.load(std::memory_order_relaxed);
     return st;
   }
 
@@ -819,6 +833,8 @@ class WorkStealingTaskQueues {
 
  private:
   static constexpr std::size_t kDryRoundsBeforeSleep = 4;
+  /// `Lane::offered` value that matches no push count.
+  static constexpr std::uint64_t kNoOffer = ~std::uint64_t{0};
 
   struct LaneSite {
     explicit LaneSite(std::size_t ring_capacity) : ring(ring_capacity) {}
@@ -851,6 +867,10 @@ class WorkStealingTaskQueues {
     alignas(64) std::atomic<std::uint64_t> pushed_own{0};
     std::atomic<std::uint64_t> popped_own{0};
     std::atomic<std::size_t> max_depth{0};
+    /// pushed_own as of the push its owner last offered (kNoOffer when
+    /// none): the lane's newest task is offered exactly while this
+    /// equals pushed_own. Written by the owner only.
+    std::atomic<std::uint64_t> offered{kNoOffer};
     alignas(64) std::atomic<std::uint64_t> pushed_foreign{0};
     std::atomic<std::uint64_t> popped_stolen{0};
   };
@@ -975,29 +995,64 @@ class WorkStealingTaskQueues {
     return false;
   }
 
-  /// Steal-affinity rule: a spin-phase thief may rob a victim only
-  /// when the work is *surplus* — the victim's owner has more backlog
-  /// than it can consume next (load ≥ 2), or the lane is a mailbox (a
-  /// producer-only owner that never pops: a seeding caller, a serve
-  /// dispatcher). A consuming owner's single in-flight task is left
-  /// alone even while that owner is descheduled; robbing it would just
-  /// migrate the chain and strand the owner (the churn that time-
-  /// sliced hosts otherwise exhibit). Desperate rounds — the first
-  /// round after any sleep, and everything after close() — ignore the
-  /// rule, which bounds a stalled owner's parked task by the sleep
-  /// slice.
+  /// Steal rule: a thief may rob a victim when the work is *surplus*
+  /// (the owner has more backlog than it can consume next, load ≥ 2),
+  /// when the lane is a mailbox (a producer-only owner that never
+  /// pops: a seeding caller, a serve dispatcher), or when the owner
+  /// *offered* its one parked task — it was still busy in its task
+  /// body a full eval poll period after pushing it, the CRI shape of
+  /// "enqueue the next invocation, then run a long tail". A consuming
+  /// owner's fresh depth-1 task is left alone: in a chain of short
+  /// bodies the owner takes it next, and robbing it would only
+  /// migrate the chain. Desperate rounds — the first round after any
+  /// sleep, and everything after close() — ignore the rule, which
+  /// bounds the wait of a task parked by an owner that blocked
+  /// without ticking by the sleep slice.
   bool steal_ok(const Lane& lane, bool desperate) const {
     return desperate || closed_.load(std::memory_order_relaxed) ||
            !lane.owner_consumes.load(std::memory_order_relaxed) ||
-           lane_load(lane) >= 2;
+           lane_load(lane) >= 2 ||
+           lane.offered.load(std::memory_order_relaxed) ==
+               lane.pushed_own.load(std::memory_order_relaxed);
+  }
+
+  /// The calling thread's wake obligation for a stealable task:
+  /// publish-then-fence, then read the sleeper count (Dekker with the
+  /// sleeper's registration RMW + takeable_now re-check), waking at
+  /// most one.
+  void wake_one() {
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    if (sleepers_.load(std::memory_order_relaxed) > 0) {
+      notify_sent_.fetch_add(1, std::memory_order_relaxed);
+      std::lock_guard<std::mutex> g(wait_mu_);
+      wait_cv_.notify_one();
+    }
+  }
+
+  /// ParkedTask::offer for this queue (runs on the owner, from its
+  /// eval tick): make the parked task stealable, then wake a sleeper
+  /// for it — the handshake its push skipped.
+  static void offer_parked(const ParkedTask& p) {
+    auto* q = static_cast<WorkStealingTaskQueues*>(p.queue);
+    q->lanes_[p.lane]->offered.store(p.stamp, std::memory_order_relaxed);
+    q->offers_.fetch_add(1, std::memory_order_relaxed);
+    q->wake_one();
+  }
+
+  /// Drop the calling thread's parked task if it belongs to this
+  /// queue: the owner is back to pop it itself (or the queue dies).
+  void unpark() const {
+    ParkedTask& p = detail::g_parked;
+    if (p.queue == this) p = ParkedTask{};
   }
 
   /// Pre-sleep check, mirroring exactly what a non-desperate round can
   /// take: something in the caller's own lane, anything once closed,
-  /// or stealable (surplus/mailbox) work elsewhere. Sleeping is wrong
-  /// while any of those exist; a throttled depth-1 chain task parked
-  /// elsewhere is *not* a reason to stay awake — its owner, or our
-  /// next timeout's desperate round, will take it.
+  /// or stealable (surplus/mailbox/offered) work elsewhere. Sleeping is
+  /// wrong while any of those exist; a depth-1 chain task parked but
+  /// not offered elsewhere is *not* a reason to stay awake — its owner
+  /// takes it, or offers it (and wakes us), or our next timeout's
+  /// desperate round takes it.
   bool takeable_now(std::size_t home) const {
     for (std::size_t i = 0; i < lanes_.size(); ++i) {
       const Lane& lane = *lanes_[i];
@@ -1050,6 +1105,7 @@ class WorkStealingTaskQueues {
     const std::size_t home = me.lane;
     const std::size_t nlanes = lanes_.size();
     Lane& own = *lanes_[home];
+    unpark();
     if (me.owner && !own.owner_consumes.load(std::memory_order_relaxed))
       own.owner_consumes.store(true, std::memory_order_relaxed);
     std::size_t dry_rounds = 0;
@@ -1094,7 +1150,7 @@ class WorkStealingTaskQueues {
         // Two-choice probe, then a deterministic sweep so work that
         // provably exists is never missed (drain-after-close and the
         // kill-token check both rely on scan completeness). Both
-        // passes honor the steal-affinity rule.
+        // passes honor the steal rule.
         std::size_t victim = pick_victim(home);
         if (steal_ok(*lanes_[victim], desperate))
           n = take_from_lane(*lanes_[victim], 1, site_out, sink);
@@ -1138,12 +1194,14 @@ class WorkStealingTaskQueues {
       // sleepers_; our registration is a seq_cst RMW, so either the
       // pusher sees it and notifies under wait_mu_, or this re-check
       // sees the payload and we skip the wait — no lost wakeup on
-      // that path. The re-check is takeable_now, not a bare sweep:
-      // it mirrors exactly what a non-desperate round may take, so a
-      // consuming owner's depth-1 task (whose push skipped the
-      // handshake by design) does not keep thieves spinning awake.
-      // Its liveness backstop is the owner's own progress plus the
-      // bounded slice below — after which we run one desperate round.
+      // that path. The same holds for an offer: offer_parked stores
+      // the lane's offered stamp, fences, then reads sleepers_. The
+      // re-check is takeable_now, not a bare sweep: it mirrors exactly
+      // what a non-desperate round may take, so a consuming owner's
+      // parked, unoffered depth-1 task does not keep thieves spinning
+      // awake. Its liveness backstop is the owner's own progress or
+      // offer plus the bounded slice below — after which we run one
+      // desperate round.
       std::unique_lock<std::mutex> lk(wait_mu_);
       sleepers_.fetch_add(1, std::memory_order_seq_cst);
       if (!takeable_now(home)) {
@@ -1192,7 +1250,7 @@ class WorkStealingTaskQueues {
   // Stats (relaxed; snapshot via stats()). None are touched on the
   // owner fast path — the hot counters live per lane.
   std::atomic<std::uint64_t> batch_extras_{0}, notify_sent_{0},
-      spill_pushes_{0}, sleeps_{0}, steals_{0};
+      spill_pushes_{0}, sleeps_{0}, steals_{0}, offers_{0};
 
   gc::GcHeap* gc_ = nullptr;
 };

@@ -46,6 +46,7 @@ const char* op_name(Op op) {
     case Op::kAtom: return "atom";
     case Op::kSetCar: return "set-car";
     case Op::kSetCdr: return "set-cdr";
+    case Op::kSetField: return "set-field";
     case Op::kAsInt: return "as-int";
     case Op::kIntLess: return "int-lt";
     case Op::kIncSlot: return "inc-slot";

@@ -14,10 +14,13 @@
 // collector traces the constant pool through that interface.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "lisp/env.hpp"
 #include "lisp/function.hpp"
 #include "sexpr/value.hpp"
 
@@ -33,7 +36,9 @@ enum class Op : std::uint8_t {
   kLoadSlot,   ///< push slots[a]
   kStoreSlot,  ///< slots[a] = top (value stays on the stack)
   kLoadEnv,    ///< push lookup of symbol consts[a]; throws when unbound
-  kStoreEnv,   ///< env->set(symbol consts[a], top) (value stays)
+               ///< (b = the site's env_sites index)
+  kStoreEnv,   ///< env->set(symbol consts[a], top) (value stays; b as
+               ///< for kLoadEnv)
   kPop,        ///< drop top
   kDup,        ///< push top again
 
@@ -77,6 +82,8 @@ enum class Op : std::uint8_t {
   // ---- setf support --------------------------------------------------
   kSetCar,  ///< [newval obj] → set (car obj); leave newval
   kSetCdr,  ///< [newval obj] → set (cdr obj); leave newval
+  kSetField,  ///< [newval obj] → set field consts[a] (slot b) of the
+              ///< defstruct instance obj; leave newval
 
   // ---- loop support (dotimes) ----------------------------------------
   kAsInt,    ///< top = fixnum(as_int(top)); throws on non-number
@@ -94,8 +101,9 @@ struct Insn {
 };
 
 /// Compiled body of one closure (or one top-level expression). Shared
-/// and immutable after compilation; the owning Closure publishes it
-/// with a release store of code_state (see lisp/function.hpp).
+/// and immutable after compilation — except env_sites, a write-once
+/// cache — and the owning Closure publishes it with a release store of
+/// code_state (see lisp/function.hpp).
 struct CodeObject final : lisp::CodeBlob {
   std::string name;  ///< function name, for profiler frames/samples
   std::vector<Insn> code;
@@ -103,6 +111,14 @@ struct CodeObject final : lisp::CodeBlob {
   std::uint32_t nparams = 0;
   bool has_rest = false;
   std::uint32_t nslots = 0;  ///< params (+rest) + deepest let nesting
+  /// One cell per kLoadEnv/kStoreEnv site: the global binding the
+  /// site's symbol resolved to, filled on the site's first execution
+  /// when the code runs in the global environment (a code object has
+  /// one environment: its closure's, or the expression's). Racing
+  /// threads store the same pointer. Lets a global read or write skip
+  /// the global frame's lock (lisp/env.hpp).
+  std::unique_ptr<std::atomic<lisp::Binding*>[]> env_sites;
+  std::int32_t n_env_sites = 0;
 
   /// Intern a constant, deduplicating by bit identity (symbols and
   /// quoted subtrees repeat heavily in real bodies).

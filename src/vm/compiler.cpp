@@ -120,6 +120,8 @@ class Compiler {
     }
     emit(Op::kReturn);
     code->nslots = static_cast<std::uint32_t>(max_slots_);
+    code->env_sites = std::make_unique<std::atomic<lisp::Binding*>[]>(
+        static_cast<std::size_t>(code->n_env_sites));
     return {std::move(code), {}};
   }
 
@@ -180,7 +182,7 @@ class Compiler {
       emit(Op::kLoadSlot, slot);
       return;
     }
-    emit(Op::kLoadEnv, konst(Value::object(s)));
+    emit(Op::kLoadEnv, konst(Value::object(s)), code_->n_env_sites++);
   }
 
   /// Store the top of stack into variable `s` (value stays on the
@@ -190,7 +192,7 @@ class Compiler {
     if (slot >= 0)
       emit(Op::kStoreSlot, slot);
     else
-      emit(Op::kStoreEnv, konst(Value::object(s)));
+      emit(Op::kStoreEnv, konst(Value::object(s)), code_->n_env_sites++);
   }
 
   /// Compile a body (list of forms): all but the last for effect, the
@@ -516,10 +518,9 @@ class Compiler {
     }
   }
 
-  /// One (setf place val) pair: symbol places and cxr places compile;
-  /// everything else (nth/gethash/aref/struct fields) refuses. The
-  /// new value evaluates BEFORE the place subexpressions, mirroring
-  /// eval_setf.
+  /// One (setf place val) pair: symbol, cxr and defstruct-field places
+  /// compile; everything else (nth/gethash/aref) refuses. The new value
+  /// evaluates BEFORE the place subexpressions, mirroring eval_setf.
   void compile_setf_pair(Value place, Value valform) {
     if (place.is(Kind::Symbol)) {
       compile(valform, false);
@@ -529,8 +530,19 @@ class Compiler {
     if (!place.is(Kind::Cons)) refuse("setf place");
     Value acc_form = car(place);
     if (!acc_form.is(Kind::Symbol)) refuse("setf place");
-    const std::string& name = static_cast<Symbol*>(acc_form.obj())->name;
-    if (!is_cxr_name(name)) refuse("setf place (" + name + " …)");
+    auto* acc = static_cast<Symbol*>(acc_form.obj());
+    const std::string& name = acc->name;
+    if (!is_cxr_name(name)) {
+      // A field name belongs to one struct type for good (defstruct
+      // refuses to reuse it), so a field known now keeps its slot.
+      // nth/gethash/aref are builtins and can never name a field.
+      const auto type = interp_.struct_type_of_field(acc);
+      if (type == nullptr) refuse("setf place (" + name + " …)");
+      compile(valform, false);
+      compile(cadr(place), false);
+      emit(Op::kSetField, konst(acc_form), type->slot_index(acc));
+      return;
+    }
     compile(valform, false);
     compile(cadr(place), false);
     // Navigate the inner letters right-to-left, then store through

@@ -69,6 +69,30 @@ class ExecRoots final : public gc::StackRoots {
   const CodeObject* entry_;
 };
 
+/// The global binding an env-op site reads or writes: cached in the
+/// code object on first use. nullptr when the frame's environment is
+/// not the global frame (local frames resolve on every execution) or
+/// the symbol has no global binding yet.
+lisp::Binding* site_binding(const Frame& f, const Insn& in) {
+  auto& site = f.code->env_sites[static_cast<std::size_t>(in.b)];
+  lisp::Binding* b = site.load(std::memory_order_acquire);
+  if (b != nullptr) return b;
+  Env* env = f.env->get();
+  if (!env->is_global()) return nullptr;
+  b = env->global_binding(static_cast<Symbol*>(
+      f.code->consts[static_cast<std::size_t>(in.a)].obj()));
+  if (b != nullptr) site.store(b, std::memory_order_release);
+  return b;
+}
+
+/// kSetField's type error, worded as Interp::setf_place words it; out
+/// of line so the message building stays out of execute's frame.
+[[noreturn, gnu::noinline, gnu::cold]] void throw_not_struct(
+    lisp::Interp& interp, Symbol* field) {
+  throw LispError("setf " + field->name + ": argument is not a " +
+                  interp.struct_type_of_field(field)->name->name);
+}
+
 }  // namespace
 
 Vm::Vm(lisp::Interp& interp)
@@ -82,7 +106,9 @@ Vm::~Vm() { uninstall_apply_hook(); }
 void Vm::install_apply_hook() {
   interp_.set_compiled_apply_hook(
       [this](lisp::Interp&, Value fn, std::span<const Value> args,
-             Value* out) { return try_apply(fn, args, out); });
+             Value* out, lisp::Interp::TailCall& tail) {
+        return try_apply(fn, args, out, tail);
+      });
 }
 
 void Vm::uninstall_apply_hook() {
@@ -109,17 +135,20 @@ const CodeObject* Vm::ensure_compiled(const Closure* c) {
   return static_cast<const CodeObject*>(c->code.get());
 }
 
-bool Vm::try_apply(Value fn, std::span<const Value> args, Value* out) {
-  if (!fn.is(Kind::Closure)) return false;
+lisp::Interp::Handoff Vm::try_apply(Value fn, std::span<const Value> args,
+                                    Value* out,
+                                    lisp::Interp::TailCall& tail) {
+  using Handoff = lisp::Interp::Handoff;
+  if (!fn.is(Kind::Closure)) return Handoff::kDeclined;
   auto* c = static_cast<Closure*>(fn.obj());
   const CodeObject* code = ensure_compiled(c);
   if (code == nullptr) {
-    fallback_entries_.fetch_add(1, std::memory_order_relaxed);
-    return false;
+    fallback_entries_.add();
+    return Handoff::kDeclined;
   }
-  compiled_entries_.fetch_add(1, std::memory_order_relaxed);
-  *out = execute(code, fn, c->env, args);
-  return true;
+  compiled_entries_.add();
+  *out = execute(code, fn, c->env, args, &tail);
+  return tail.fn.is_nil() ? Handoff::kDone : Handoff::kTailCall;
 }
 
 Value Vm::eval(Value form, const EnvPtr& env) {
@@ -130,10 +159,10 @@ Value Vm::eval(Value form, const EnvPtr& env) {
   gc::MutatorScope ms(gc_);
   CompileResult r = compile_expr(interp_, form, env);
   if (r.code == nullptr) {
-    fallback_entries_.fetch_add(1, std::memory_order_relaxed);
+    fallback_entries_.add();
     return interp_.eval(form, env);
   }
-  compiled_entries_.fetch_add(1, std::memory_order_relaxed);
+  compiled_entries_.add();
   return execute(r.code.get(), Value::nil(), env, {});
 }
 
@@ -201,7 +230,8 @@ void Vm::enter_frame(ExecState& st, const CodeObject* code, Value fn,
 }
 
 Value Vm::execute(const CodeObject* entry, Value entry_closure,
-                  const EnvPtr& env, std::span<const Value> args) {
+                  const EnvPtr& env, std::span<const Value> args,
+                  lisp::Interp::TailCall* tail) {
   gc::MutatorScope ms(gc_);
   ExecState st;
   auto& S = st.stack;
@@ -266,6 +296,10 @@ Value Vm::execute(const CodeObject* entry, Value entry_closure,
           S[f.base + static_cast<std::size_t>(in.a)] = S.back();
           break;
         case Op::kLoadEnv: {
+          if (const lisp::Binding* b = site_binding(f, in)) {
+            S.push_back(b->get());
+            break;
+          }
           auto* s = static_cast<Symbol*>(
               f.code->consts[static_cast<std::size_t>(in.a)].obj());
           if (auto v = (*f.env)->lookup(s)) {
@@ -276,6 +310,10 @@ Value Vm::execute(const CodeObject* entry, Value entry_closure,
           break;
         }
         case Op::kStoreEnv: {
+          if (lisp::Binding* b = site_binding(f, in)) {
+            b->set(S.back());
+            break;
+          }
           auto* s = static_cast<Symbol*>(
               f.code->consts[static_cast<std::size_t>(in.a)].obj());
           (*f.env)->set(s, S.back());
@@ -330,6 +368,18 @@ Value Vm::execute(const CodeObject* entry, Value entry_closure,
             // engine owns these (apply declines the hook for refused
             // closures, so there is no re-entry loop).
             const std::span<const Value> as(S.data() + fnpos + 1, n);
+            if (tail != nullptr && in.op == Op::kTailCall &&
+                st.frames.size() == 1 && fn.is(Kind::Closure)) {
+              // The entry frame's tail call to a refused closure: hand
+              // it to the interpreter loop that entered us instead of
+              // nesting Interp::apply under this execution.
+              tail->fn = fn;
+              tail->args.assign(as.begin(), as.end());
+              if (st.frames.back().pushed_profile)
+                obs::Profiler::instance().pop_frame();
+              st.frames.pop_back();
+              return Value::nil();
+            }
             const Value r = interp_.apply(fn, as);
             if (in.op == Op::kCall) {
               S.resize(fnpos);
@@ -339,7 +389,6 @@ Value Vm::execute(const CodeObject* entry, Value entry_closure,
             if (frame_return(r)) return r;
             break;
           }
-          interp_.count_apply();  // same work measure as the tree engine
           if (in.op == Op::kCall) {
             for (std::size_t i = 0; i < n; ++i) S[fnpos + i] = S[fnpos + i + 1];
             S.pop_back();
@@ -505,6 +554,22 @@ Value Vm::execute(const CodeObject* entry, Value entry_closure,
           const Value obj = S.back();
           S.pop_back();
           sexpr::as_cons(obj)->set_cdr(S.back());
+          break;
+        }
+
+        case Op::kSetField: {
+          const Value obj = S.back();
+          S.pop_back();
+          auto* field = static_cast<Symbol*>(
+              f.code->consts[static_cast<std::size_t>(in.a)].obj());
+          // The instance's type holds this field exactly when it is the
+          // field's one struct type — Interp::setf_place's check.
+          auto* inst = obj.is(Kind::Struct)
+                           ? static_cast<lisp::Instance*>(obj.obj())
+                           : nullptr;
+          if (inst == nullptr || inst->type->slot_index(field) != in.b)
+            throw_not_struct(interp_, field);
+          inst->set(in.b, S.back());
           break;
         }
 

@@ -22,13 +22,21 @@
 //    while this thread blocks deeper in the call (a future touch, the
 //    gc-roots test's forced collect) sees every live slot and operand.
 //
-//  * install_apply_hook routes Interp::apply's closure branch through
-//    try_apply, which accelerates every runtime path that applies
-//    closures (CRI server bodies, futures, run_parallel) without those
-//    modules knowing the VM exists.
+//  * install_apply_hook routes every closure application the
+//    interpreter makes — Interp::apply's and the tree-walker's own
+//    calls — through try_apply, which accelerates every runtime path
+//    that applies closures (CRI server bodies, futures, run_parallel)
+//    without those modules knowing the VM exists, and keeps compiled
+//    callees of a refused caller on bytecode. A tail call from an
+//    execution's entry frame to a refused closure goes back to the
+//    interpreter as an Interp::TailCall instead of a nested
+//    Interp::apply, so tail recursion that alternates engines runs in
+//    O(1) C++ stack.
+//
+//  * The engine-entry counters are obs::PerThreadCounters: servers
+//    entering closures side by side never write a shared cache line.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -36,6 +44,7 @@
 
 #include "gc/gc.hpp"
 #include "lisp/interp.hpp"
+#include "obs/per_thread_counter.hpp"
 #include "vm/bytecode.hpp"
 
 namespace curare::vm {
@@ -65,10 +74,13 @@ class Vm {
   /// collection points between top-level forms).
   Value eval_program(std::string_view src);
 
-  /// Apply `fn` on the VM if it is a closure the compiler covers.
-  /// Returns false (and leaves *out alone) for everything else; the
-  /// caller then uses the tree path. This is the Interp apply hook.
-  bool try_apply(Value fn, std::span<const Value> args, Value* out);
+  /// Apply `fn` on the VM if it is a closure the compiler covers
+  /// (kDone, result in *out), up to a tail call from its entry frame
+  /// to a closure the compiler refused (kTailCall, the call left in
+  /// `tail` for the caller to make). kDeclined for everything else;
+  /// the caller then uses the tree path. This is the Interp apply hook.
+  lisp::Interp::Handoff try_apply(Value fn, std::span<const Value> args,
+                                  Value* out, lisp::Interp::TailCall& tail);
 
   /// Route Interp::apply's closure branch through try_apply (and back).
   void install_apply_hook();
@@ -80,16 +92,16 @@ class Vm {
 
   /// Engine-entry counters: executions started on bytecode vs. handed
   /// to the tree-walker (compile refusals).
-  std::uint64_t compiled_entries() const {
-    return compiled_entries_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t fallback_entries() const {
-    return fallback_entries_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t compiled_entries() const { return compiled_entries_.load(); }
+  std::uint64_t fallback_entries() const { return fallback_entries_.load(); }
 
  private:
+  /// Run `entry` to completion. With `tail` non-null, a tail call from
+  /// the entry frame to a refused closure is not made: it lands in
+  /// *tail (whose fn is nil otherwise) and the caller makes it.
   Value execute(const CodeObject* entry, Value entry_closure,
-                const lisp::EnvPtr& env, std::span<const Value> args);
+                const lisp::EnvPtr& env, std::span<const Value> args,
+                lisp::Interp::TailCall* tail = nullptr);
   void enter_frame(ExecState& st, const CodeObject* code, Value fn,
                    std::size_t arg0, std::size_t nargs, bool tail);
 
@@ -97,8 +109,8 @@ class Vm {
   sexpr::Ctx& ctx_;
   gc::GcHeap& gc_;
   const Value t_;  ///< Value::object(ctx.s_t), for predicate results
-  std::atomic<std::uint64_t> compiled_entries_{0};
-  std::atomic<std::uint64_t> fallback_entries_{0};
+  obs::PerThreadCounter compiled_entries_;
+  obs::PerThreadCounter fallback_entries_;
 };
 
 }  // namespace curare::vm

@@ -206,12 +206,6 @@ TEST_F(InterpTest, OutputCapture) {
   EXPECT_EQ(in.take_output(), "") << "take_output drains the buffer";
 }
 
-TEST_F(InterpTest, ApplyCountAdvances) {
-  const auto before = in.apply_count();
-  run("(defun g (x) x) (g 1) (g 2)");
-  EXPECT_GE(in.apply_count(), before + 2);
-}
-
 TEST_F(InterpTest, PaperFigure3RunsAndPrints) {
   run("(defun f (l) (when l (print (car l)) (f (cdr l))))"
       "(f '(1 2 3))");

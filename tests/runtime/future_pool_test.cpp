@@ -63,6 +63,41 @@ TEST(FuturePool, DeepFutureChainCompletes) {
   EXPECT_EQ(chain(100).as_fixnum(), 100);
 }
 
+// The registry of spawned futures is compacted in whole passes. With
+// every future still held, no pass frees anything, so each pass must
+// push the next one out geometrically: n live spawns cost O(log n)
+// passes, not one pass per spawn past the first threshold.
+TEST(FuturePool, LiveSpawnsCompactLogarithmically) {
+  FuturePool pool(2);
+  constexpr std::size_t kN = 16384;
+  std::vector<std::shared_ptr<FutureState>> live;
+  live.reserve(kN);
+  for (std::size_t i = 0; i < kN; ++i)
+    live.push_back(pool.spawn([] { return Value::nil(); }));
+  // Thresholds 1024, 2048, …, 16384: log2(kN / 1024) + 1 passes.
+  EXPECT_LE(pool.compactions(), 5u);
+  EXPECT_GE(pool.compactions(), 1u);
+  for (auto& f : live) pool.touch(f);
+}
+
+// Dropped futures still get reclaimed: a registry of dead entries
+// shrinks back at the next pass, and the threshold follows it down.
+TEST(FuturePool, DroppedFuturesAreCompactedAway) {
+  FuturePool pool(2);
+  for (int round = 0; round < 8; ++round) {
+    for (int i = 0; i < 1024; ++i) {
+      auto f = pool.spawn([] { return Value::nil(); });
+      pool.touch(f);
+    }
+  }
+  // Nearly every future died right after its touch (a worker may still
+  // hold the last one or two), so the passes ran at the 1024 floor:
+  // about one per 1024 spawns, where a threshold that only ever grew
+  // would have run 3.
+  EXPECT_GE(pool.compactions(), 7u);
+  EXPECT_LE(pool.compactions(), 9u);
+}
+
 TEST(FuturePool, WorkerCountDefaultsPositive) {
   FuturePool pool;
   EXPECT_GE(pool.workers(), 2u);

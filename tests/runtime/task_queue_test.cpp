@@ -21,7 +21,10 @@
 #include <thread>
 #include <vector>
 
+#include "runtime/eval_tick.hpp"
+#include "runtime/lock_manager.hpp"
 #include "runtime/mpmc_ring.hpp"
+#include "sexpr/ctx.hpp"
 
 namespace curare::runtime {
 namespace {
@@ -496,6 +499,66 @@ TEST(WorkStealingQueues, DesperateRoundRescuesParkedDepthOneTask) {
   EXPECT_GE(q.stats().steals, 1u);
   release.set_value();
   owner.join();
+  q.close();
+  EXPECT_FALSE(q.pop().has_value());
+}
+
+// The steal rule's offer: an owner still busy in its task body a full
+// eval poll period after parking its only task offers it, so a thief
+// takes it in a plain round, without sleeping first.
+TEST(WorkStealingQueues, BusyOwnerOffersParkedTaskToThieves) {
+  WorkStealingTaskQueues q(1, /*workers=*/2);
+  std::promise<void> release;
+  std::shared_future<void> gate(release.get_future());
+  std::atomic<bool> ticked{false};
+  std::thread owner([&] {
+    q.push(0, task(1));
+    (void)q.pop();       // a consuming owner from here on
+    q.push(0, task(2));  // depth 1: parked, no handshake
+    for (unsigned i = 0; i < 2 * kEvalPollPeriod; ++i) eval_tick_step();
+    ticked.store(true, std::memory_order_release);
+    gate.wait();  // still busy in the body
+  });
+  while (!ticked.load(std::memory_order_acquire)) std::this_thread::yield();
+  EXPECT_EQ(q.stats().offers, 1u);
+  std::optional<TaskArgs> stolen = q.pop();
+  ASSERT_TRUE(stolen.has_value());
+  EXPECT_EQ(val(*stolen), 2);
+  EXPECT_EQ(q.stats().steals, 1u);
+  EXPECT_EQ(q.stats().sleeps, 0u) << "an offered task is takeable at once";
+  release.set_value();
+  owner.join();
+  q.close();
+  EXPECT_FALSE(q.pop().has_value());
+}
+
+// What must not offer: a body whose tail after the push is shorter than
+// a poll period (the empty-task chain), a body inside a lock region (a
+// stolen successor would block on the lock), and a task its owner came
+// back for.
+TEST(WorkStealingQueues, ShortTailsLockRegionsAndReturnedOwnersDoNotOffer) {
+  detail::g_body_locks = 0;  // this thread plays a fresh task body
+  WorkStealingTaskQueues q(1, /*workers=*/1);
+  sexpr::Ctx ctx;
+  LockManager locks;
+  const LocKey key{ctx.heap.cons(Value::nil(), Value::nil()).obj(), nullptr};
+  q.push(0, task(1));
+  (void)q.pop();  // a consuming owner from here on
+  q.push(0, task(2));
+  for (unsigned i = 0; i + 1 < kEvalPollPeriod; ++i) eval_tick_step();
+  EXPECT_EQ(q.stats().offers, 0u) << "tail shorter than a poll period";
+  EXPECT_EQ(val(*q.pop()), 2);
+  for (unsigned i = 0; i < 2 * kEvalPollPeriod; ++i) eval_tick_step();
+  EXPECT_EQ(q.stats().offers, 0u) << "the owner popped it: nothing parked";
+
+  locks.lock(key, /*exclusive=*/true);
+  q.push(0, task(3));
+  for (unsigned i = 0; i < 2 * kEvalPollPeriod; ++i) eval_tick_step();
+  EXPECT_EQ(q.stats().offers, 0u) << "inside a lock region";
+  locks.unlock(key, /*exclusive=*/true);
+  for (unsigned i = 0; i < 2 * kEvalPollPeriod; ++i) eval_tick_step();
+  EXPECT_EQ(q.stats().offers, 1u) << "offered once the region ends";
+  EXPECT_EQ(val(*q.pop()), 3);
   q.close();
   EXPECT_FALSE(q.pop().has_value());
 }

@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
 #include <string_view>
+#include <thread>
+#include <vector>
 
 #include "gc/gc.hpp"
 #include "lisp/interp.hpp"
@@ -219,6 +222,135 @@ TEST(VmTest, CompiledEntriesCountApplications) {
   EXPECT_EQ(write_str(vm.eval_program("(mapcar sq '(1 2 3))")),
             "(1 4 9)");
   EXPECT_GT(vm.compiled_entries(), 0u);
+}
+
+// ev holds a lambda, so the compiler refuses it and it tree-walks; od
+// compiles. Every hop crosses the engine seam in tail position: the
+// tree-walker hands od to the VM, whose tail call to ev comes back as
+// an Interp::TailCall instead of a nested apply. Deep enough that any
+// C++ stack growth per hop would overflow.
+TEST(VmTest, CrossEngineMutualTailRecursionRunsInConstantStack) {
+  const char* prog =
+      "(defun ev (n) (let ((f (lambda (x) x)))"
+      " (if (= n 0) t (od (- n 1)))))"
+      "(defun od (n) (if (= n 0) nil (ev (- n 1))))";
+  const Outcome even = run_vm(std::string(prog) + "(ev 200000)");
+  EXPECT_EQ(even.result, "t");
+  const Outcome odd = run_vm(std::string(prog) + "(od 200001)");
+  EXPECT_EQ(odd.result, "t");
+}
+
+// The fallback contract: a closure the compiler refuses tree-walks, but
+// the compiled closures it calls still run on the VM — one fallback
+// entry for the refused caller, one compiled entry per callee call.
+TEST(VmTest, CompiledCalleeOfRefusedCallerRunsCompiled) {
+  sexpr::Ctx ctx;
+  lisp::Interp in(ctx);
+  in.set_echo(false);
+  Vm vm(in);
+  vm.install_apply_hook();
+  vm.eval_program(
+      "(defun step1 (x) (+ x 1))"
+      "(defun outer (n) (let ((f (lambda (y) y)) (acc 0))"
+      " (dotimes (i n) (setq acc (step1 acc))) acc))");
+  const std::uint64_t compiled0 = vm.compiled_entries();
+  const std::uint64_t fallback0 = vm.fallback_entries();
+  EXPECT_EQ(write_str(vm.eval_program("(outer 100)")), "100");
+  EXPECT_GE(vm.compiled_entries() - compiled0, 100u)
+      << "step1 runs compiled from the tree-walked outer";
+  EXPECT_EQ(vm.fallback_entries() - fallback0, 1u)
+      << "only outer itself enters the tree-walker";
+}
+
+// Non-tail recursion that alternates engines spends C++ stack on every
+// level (a tree activation plus a VM execution); running out of it must
+// be a Lisp error, not a crash.
+TEST(VmTest, DeepCrossEngineRecursionErrorsInsteadOfOverflowing) {
+  const Outcome o = run_vm(
+      "(defun r (n) (let ((f (lambda (x) x)))"
+      " (if (= n 0) 0 (+ 1 (c (- n 1))))))"
+      "(defun c (n) (+ 0 (r n)))"
+      "(r 1000000)");
+  EXPECT_NE(o.result.find("evaluation too deep"), std::string::npos)
+      << o.result;
+  EXPECT_EQ(run_vm("(defun r (n) (let ((f (lambda (x) x)))"
+                   " (if (= n 0) 0 (+ 1 (c (- n 1))))))"
+                   "(defun c (n) (+ 0 (r n)))"
+                   "(r 100)")
+                .result,
+            "100")
+      << "modest alternating recursion stays well inside the guard, "
+         "even with a sanitizer's larger frames";
+}
+
+// setf of a defstruct field compiles (the field's slot is fixed once
+// defstruct ran), keeping the tree-walker's evaluation order and error.
+TEST(VmTest, StructFieldSetfCompiles) {
+  sexpr::Ctx ctx;
+  lisp::Interp in(ctx);
+  in.set_echo(false);
+  Vm vm(in);
+  vm.install_apply_hook();
+  vm.eval_program(
+      "(defstruct cell2 (pointers nxt) (data v))"
+      "(defun put-v (c x) (setf (v c) x))");
+  const auto fn = in.global_env()->lookup(ctx.symbols.intern("put-v"));
+  ASSERT_TRUE(fn.has_value());
+  const CodeObject* code = nullptr;
+  {
+    gc::MutatorScope ms(ctx.heap.gc());
+    code = vm.ensure_compiled(static_cast<const lisp::Closure*>(fn->obj()));
+  }
+  ASSERT_NE(code, nullptr);
+  EXPECT_NE(code->disassemble().find("set-field"), std::string::npos);
+  EXPECT_EQ(write_str(vm.eval_program(
+                "(let ((c (make-cell2))) (list (put-v c 7) (v c)))")),
+            "(7 7)");
+  expect_parity(
+      "(defstruct cell2 (pointers nxt) (data v))"
+      "(defun put-v (c x) (setf (v c) x))"
+      "(put-v 'not-a-cell (progn (print 'value-first) 1))");
+}
+
+// Compiled code reads and writes globals through bindings cached per
+// instruction site, without the global frame's lock, while other
+// threads keep adding bindings to the same frame (rehashing its map).
+// The stress shape for the thread sanitizer; the visible check is that
+// every read sees the one value ever stored.
+TEST(VmTest, CachedGlobalBindingsStayCoherentUnderConcurrentDefines) {
+  sexpr::Ctx ctx;
+  lisp::Interp in(ctx);
+  in.set_echo(false);
+  Vm vm(in);
+  vm.install_apply_hook();
+  vm.eval_program(
+      "(setq g-val 7)"
+      "(defun sum-g (n) (let ((acc 0))"
+      " (dotimes (i n) (setq g-val 7) (setq acc (+ acc g-val))) acc))");
+  const Value fn = in.global("sum-g");
+  constexpr std::int64_t kIters = 20000;
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 2; ++t) {
+    readers.emplace_back([&] {
+      const Value args[] = {Value::fixnum(kIters)};
+      for (int rep = 0; rep < 5; ++rep) {
+        if (in.apply(fn, args).as_fixnum() != 7 * kIters)
+          wrong.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  {
+    gc::MutatorScope ms(ctx.heap.gc());
+    for (int i = 0; i < 4000; ++i) {
+      in.global_env()->define(
+          ctx.symbols.intern("fresh-global-" + std::to_string(i)),
+          Value::fixnum(i));
+    }
+  }
+  for (auto& th : readers) th.join();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(write_str(vm.eval_program("fresh-global-3999")), "3999");
 }
 
 TEST(VmTest, DisassembleNamesOpsAndConstants) {
