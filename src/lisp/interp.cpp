@@ -106,8 +106,15 @@ Interp::Interp(sexpr::Ctx& ctx)
       s_decf_(ctx.symbols.intern("decf")),
       s_push_(ctx.symbols.intern("push")),
       s_pop_(ctx.symbols.intern("pop")) {
-  install_builtins(*this);
+  // Root the global environment before filling it: every builtin is a
+  // heap object, and another thread may collect between definitions.
   gc_.add_root_source(this);
+  try {
+    install_builtins(*this);
+  } catch (...) {
+    gc_.remove_root_source(this);
+    throw;
+  }
 }
 
 Interp::~Interp() { gc_.remove_root_source(this); }
@@ -234,6 +241,9 @@ Value Interp::eval_defstruct(Value form) {
 void Interp::define_builtin(std::string_view name, int min_args,
                             int max_args, BuiltinFn fn) {
   Symbol* s = ctx_.symbols.intern(name);
+  // The new Builtin is reachable from nowhere until it is bound: hold
+  // the unsafe region from allocation to binding.
+  gc::MutatorScope ms(gc_);
   auto* b = ctx_.heap.alloc<Builtin>(std::string(name), min_args, max_args,
                                      std::move(fn));
   global_->define(s, Value::object(b));

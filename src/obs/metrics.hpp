@@ -18,7 +18,6 @@
 //   cri.queue.notify_suppressed counter pushes with no sleeper (cv skipped)
 //   cri.queue.spill_pushes  counter   pushes that overflowed a site ring
 //   cri.queue.sleeps        counter   times a server actually blocked
-//   cri.queue.pop_calls     counter   scheduler transactions (≥1 task)
 //   cri.queue.steals        counter   tasks taken from another lane
 //   cri.queue.offers        counter   parked tasks a busy owner offered
 //   future.spawned          counter   futures created

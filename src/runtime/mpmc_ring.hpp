@@ -1,17 +1,20 @@
-// Bounded lock-free MPMC ring buffer (Vyukov's bounded queue).
+// Bounded lock-free ring buffer: one producer, many consumers (after
+// Vyukov's bounded MPMC queue, whose consumer side it keeps).
 //
 // Each cell carries a sequence number: a cell is pushable when
 // seq == enqueue position, poppable when seq == dequeue position + 1.
-// Producers and consumers reserve a cell with one CAS on their own
-// cursor, then publish with a release store on the cell's sequence —
-// no mutex anywhere, and the only contended lines are the two cursors
-// (kept on separate cache lines).
+// The single producer appends without any CAS (try_push_sp); consumers
+// reserve a cell with one CAS on the dequeue cursor, so any number of
+// them may race. Both sides publish with a release store on the cell's
+// sequence — no mutex anywhere, and the two cursors sit on separate
+// cache lines.
 //
-// This is the per-call-site fast path of the sharded CRI scheduler
-// (paper §4.1): "each server only needs to obtain the arguments to an
-// invocation" — obtaining them must not serialize all servers through
-// one lock. The ring is bounded; the scheduler layers an unbounded
-// mutex-guarded spill deque behind it for the rare overflow.
+// This is the per-lane, per-call-site fast path of the work-stealing
+// CRI scheduler (paper §4.1): the lane owner is the ring's only
+// producer, while the owner and any thief pop. The ring is bounded;
+// the scheduler layers an unbounded mutex-guarded spill deque behind
+// it for the rare overflow. Despite the class name, a ring has exactly
+// one producer.
 #pragma once
 
 #include <atomic>
@@ -36,31 +39,6 @@ class MpmcRing {
 
   MpmcRing(const MpmcRing&) = delete;
   MpmcRing& operator=(const MpmcRing&) = delete;
-
-  /// False when the ring is full; `v` is left untouched in that case.
-  bool try_push(T&& v) {
-    Cell* c;
-    std::size_t pos = enq_.load(std::memory_order_relaxed);
-    for (;;) {
-      c = &cells_[pos & mask_];
-      const std::size_t seq = c->seq.load(std::memory_order_acquire);
-      const auto diff = static_cast<std::intptr_t>(seq) -
-                        static_cast<std::intptr_t>(pos);
-      if (diff == 0) {
-        if (enq_.compare_exchange_weak(pos, pos + 1,
-                                       std::memory_order_relaxed)) {
-          break;
-        }
-      } else if (diff < 0) {
-        return false;  // full
-      } else {
-        pos = enq_.load(std::memory_order_relaxed);
-      }
-    }
-    c->data = std::move(v);
-    c->seq.store(pos + 1, std::memory_order_release);
-    return true;
-  }
 
   /// Single-producer push: no CAS on the enqueue cursor, just one
   /// acquire load, two plain stores and the publishing release store.
@@ -107,13 +85,6 @@ class MpmcRing {
     c->data = T{};  // drop payload refs eagerly
     c->seq.store(pos + mask_ + 1, std::memory_order_release);
     return true;
-  }
-
-  /// Racy size estimate (exact when quiescent).
-  std::size_t approx_size() const {
-    const std::size_t e = enq_.load(std::memory_order_relaxed);
-    const std::size_t d = deq_.load(std::memory_order_relaxed);
-    return e > d ? e - d : 0;
   }
 
   /// Racy emptiness probe: one acquire load, no CAS. A false negative

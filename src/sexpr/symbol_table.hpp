@@ -43,6 +43,10 @@ class SymbolTable : public gc::RootSource {
       auto it = map_.find(std::string(name));
       if (it != map_.end()) return it->second;
     }
+    // Enter the unsafe region before taking the lock: the allocation
+    // below must not wait out a collection while holding the lock that
+    // the collector's root walk (gc_roots) takes.
+    gc::MutatorScope ms(heap_.gc());
     std::unique_lock lock(mu_);
     auto [it, inserted] = map_.try_emplace(std::string(name), nullptr);
     if (inserted) it->second = heap_.alloc<Symbol>(std::string(name));

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -237,16 +238,6 @@ struct QueueFactory<runtime::SingleMutexTaskQueues> {
 };
 
 template <>
-struct QueueFactory<runtime::ShardedTaskQueues> {
-  static std::unique_ptr<runtime::ShardedTaskQueues> make(std::size_t nsites) {
-    // Capacity-4 rings so a handful of same-site pushes reach the
-    // spill vector, the position a ring-only root walk would miss.
-    return std::make_unique<runtime::ShardedTaskQueues>(nsites,
-                                                        /*ring_capacity=*/4);
-  }
-};
-
-template <>
 struct QueueFactory<runtime::WorkStealingTaskQueues> {
   static std::unique_ptr<runtime::WorkStealingTaskQueues> make(
       std::size_t nsites) {
@@ -276,7 +267,6 @@ class QueueGcRootsTest : public ::testing::Test {};
 
 using QueueImpls =
     ::testing::Types<runtime::SingleMutexTaskQueues,
-                     runtime::ShardedTaskQueues,
                      runtime::WorkStealingTaskQueues>;
 TYPED_TEST_SUITE(QueueGcRootsTest, QueueImpls);
 
@@ -389,7 +379,21 @@ TEST(GcStressTest, ConcurrentAllocationAndCollection) {
   constexpr int kChain = 20;
 
   std::atomic<bool> stop{false};
+  std::atomic<bool> collecting{false};
   std::atomic<int> bad{0};
+  // The collector starts first and the workers wait for its first
+  // collection, so collections are still running while they allocate:
+  // on a loaded or single-core host the collector thread might not
+  // otherwise get scheduled before the workers finish.
+  std::thread collector([&gc, &stop, &collecting] {
+    while (!stop.load()) {
+      gc.collect("stress");
+      collecting.store(true);
+      std::this_thread::yield();
+    }
+  });
+  while (!collecting.load()) std::this_thread::yield();
+
   std::vector<std::thread> workers;
   workers.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
@@ -417,13 +421,6 @@ TEST(GcStressTest, ConcurrentAllocationAndCollection) {
     });
   }
 
-  std::thread collector([&gc, &stop] {
-    while (!stop.load()) {
-      gc.collect("stress");
-      std::this_thread::yield();
-    }
-  });
-
   for (std::thread& w : workers) w.join();
   stop.store(true);
   collector.join();
@@ -431,6 +428,50 @@ TEST(GcStressTest, ConcurrentAllocationAndCollection) {
   EXPECT_EQ(bad.load(), 0) << "kept chains must survive intact";
   gc.collect("final");
   EXPECT_GE(gc.stats().collections, 2u);
+}
+
+// Session set-up against a running collector: every builtin an
+// interpreter installs is a heap object, so its global environment must
+// be a root before the first one is allocated, and each definition must
+// sit in an unsafe region from allocation to binding. Otherwise a
+// collection on another thread sweeps builtins the new interpreter has
+// already bound.
+TEST(GcStressTest, InterpBuiltinsSurviveConcurrentCollection) {
+  sexpr::Ctx ctx;
+  GcHeap& gc = ctx.heap.gc();
+  std::atomic<bool> stop{false};
+  // Collections back to back, with a short gap after each so a mutator
+  // waiting out one stop-the-world is not starved by the next.
+  std::thread collector([&gc, &stop] {
+    while (!stop.load()) {
+      gc.collect("stress");
+      std::this_thread::sleep_for(std::chrono::microseconds(20));
+    }
+  });
+  const char* const names[] = {"car", "cdr", "+", "*", "minusp", "cons",
+                               "list"};
+  // A swept object's cell stays mapped with its header marked free
+  // until its whole block dies, so the header tells a swept binding
+  // apart from a live one.
+  auto swept = [](const sexpr::Obj* o) {
+    const auto* h = reinterpret_cast<const GcHeader*>(
+        reinterpret_cast<const char*>(o) - sizeof(GcHeader));
+    return h->state.load() == kCellFree;
+  };
+  int bad = 0;
+  for (int round = 0; round < 300; ++round) {
+    lisp::Interp in(ctx);
+    MutatorScope ms(gc);
+    for (const char* name : names) {
+      const Value v = in.global(name);
+      if (!v.is(sexpr::Kind::Builtin) || swept(v.obj()) ||
+          static_cast<const lisp::Builtin*>(v.obj())->name != name)
+        ++bad;
+    }
+  }
+  stop.store(true);
+  collector.join();
+  EXPECT_EQ(bad, 0) << "builtin bindings swept during interpreter set-up";
 }
 
 class GcServerPoolTest : public ::testing::Test {

@@ -195,9 +195,9 @@ TEST_F(ServerPoolTest, EarlyFinishDiscardsRemainingQueuedWork) {
       << "servers must discard, not drain-execute, after finish";
 }
 
-TEST_F(ServerPoolTest, BatchedDequeueCountsStayExact) {
-  // Batch limit > 1: servers take several same-site tasks per scheduler
-  // transaction. Counts and termination must be unchanged.
+TEST_F(ServerPoolTest, DequeueCountsStayExact) {
+  // Two sites, four servers: every task is dequeued exactly once, and
+  // the run terminates after the last one.
   run_src(
       "(setq bnodes 0)"
       "(defun bwalk-cri (x)"
@@ -208,11 +208,10 @@ TEST_F(ServerPoolTest, BatchedDequeueCountsStayExact) {
   Value fn = in.global("bwalk-cri");
   Value tree = sexpr::read_one(
       ctx, "((1 2 3 4) (5 (6 7) 8) (9 10) ((11 12) 13) 14)");
-  CriStats stats = rt.run_cri(fn, 2, 4, {tree}, "bwalk", /*batch=*/4);
+  CriStats stats = rt.run_cri(fn, 2, 4, {tree}, "bwalk");
   EXPECT_EQ(run_src("bnodes").as_fixnum(), 20) << "cons count of the tree";
-  EXPECT_EQ(stats.queue.pops, stats.invocations);
-  EXPECT_LE(stats.queue.pop_calls, stats.queue.pops)
-      << "batching can only amortize, never double-serve";
+  EXPECT_EQ(stats.queue.pops, stats.invocations)
+      << "no task lost or double-served";
 }
 
 TEST_F(ServerPoolTest, TwoSiteSingleServerDrainsSiteZeroFirst) {
